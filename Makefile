@@ -70,22 +70,21 @@ docs-lint:
 
 # Perf gate: the hot-path benchmarks (experiment throughput replay vs share,
 # bootstrap-share ratio, parallel campaign workers-vs-sequential speedup)
-# parsed into BENCH_PR$(PR).json via tools/benchjson. The artifact is
-# committed per PR (the trajectory lives in-repo, not just as a CI upload);
-# CI re-runs the gate on the 4-vCPU hosted runner on every push and uploads
-# its own copy. The run is compared against the newest committed BENCH_PR*
-# artifact from an earlier PR: a >10% ms/exp regression prints a
-# non-blocking warning (see tools/benchjson). MUTINY_SHARE is irrelevant
+# parsed into a JSON artifact via tools/benchjson. `make bench PR=N` writes
+# the committed per-PR artifact BENCH_PRN.json and compares it against the
+# newest BENCH_PR* artifact from an earlier PR; plain `make bench` (what CI
+# runs on every push) writes the uncommitted BENCH_CI.json and compares it
+# against the newest committed BENCH_PR* artifact. A >10% ms/exp regression
+# prints a non-blocking warning (see tools/benchjson). MUTINY_SHARE is irrelevant
 # here: ExperimentThroughput measures both regimes itself.
 # Each bench run writes to its own file first so a benchmark failure fails
 # the target (piping straight into benchjson would report the parser's exit
 # status and let a broken benchmark slip through the gate); benchjson itself
 # also fails when it parses no benchmark lines.
-PR ?= 10
-BENCH_JSON ?= BENCH_PR$(PR).json
+BENCH_JSON ?= $(if $(PR),BENCH_PR$(PR).json,BENCH_CI.json)
 bench:
 	@set -e; out=$$(mktemp -d); \
-	prev=$$(ls BENCH_PR*.json 2>/dev/null | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$$/\1/p' | awk '$$1 < $(PR)' | sort -n | tail -1); \
+	prev=$$(ls BENCH_PR*.json 2>/dev/null | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$$/\1/p' | awk '"$(PR)" == "" || $$1 < 0 + "$(PR)"' | sort -n | tail -1); \
 	prev=$${prev:+BENCH_PR$$prev.json}; \
 	$(GO) test -run xxx -bench 'BenchmarkExperimentThroughput|BenchmarkBootstrapShare' -benchmem -benchtime 30x . > $$out/hot.txt; \
 	MUTINY_STRIDE=96 MUTINY_GOLDEN=5 $(GO) test -run xxx -bench 'BenchmarkCampaignParallel' -benchtime 3x . > $$out/campaign.txt; \

@@ -228,9 +228,9 @@ func BenchmarkCriticalFields(b *testing.B) {
 }
 
 // BenchmarkAblationReplicatedCP reproduces the §V-C1 ablation: repeating
-// critical-field injections against a three-node (raft-replicated) control
-// plane shows no significant difference, because values are injected before
-// the consensus algorithm runs.
+// critical-field injections against a three-node (replicated) control plane
+// shows no significant difference, because values are injected before the
+// replicas agree on them.
 func BenchmarkAblationReplicatedCP(b *testing.B) {
 	criticalInjections := []inject.Injection{
 		{Channel: inject.ChannelStore, Kind: spec.KindReplicaSet,

@@ -156,9 +156,6 @@ func (c *AdmissionChain) SetReachability(f func(node string) bool) { c.reach = f
 // experiment. Empty restores the per-hook configuration.
 func (c *AdmissionChain) SetFailurePolicy(p FailurePolicy) { c.override = p }
 
-// HookCount returns the number of registered hooks.
-func (c *AdmissionChain) HookCount() int { return len(c.hooks) }
-
 // HookName returns the name of hook i (index normalized like fault replicas).
 func (c *AdmissionChain) HookName(i int) string { return c.hooks[c.idx(i)].Name }
 

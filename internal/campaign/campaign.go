@@ -270,13 +270,6 @@ func (r *Runner) Baseline(kind workload.Kind) *classify.Baseline {
 	return e.baseline
 }
 
-// GoldenObservations returns the cached golden observations (building the
-// baseline first if needed).
-func (r *Runner) GoldenObservations(kind workload.Kind) []*classify.Observation {
-	r.Baseline(kind)
-	return r.entry(kind).golden
-}
-
 // Run executes one experiment on a borrowed worker and classifies it. The
 // campaign engine's fan-out path holds a Worker per goroutine and calls
 // Worker.Run directly; this convenience wrapper serves external callers.

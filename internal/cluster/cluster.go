@@ -73,7 +73,7 @@ type Config struct {
 	// reserved for monitoring, mirroring §V-A).
 	Workers int
 	// ControlPlaneReplicas selects the §V-C1 ablation: >1 runs a
-	// raft-replicated store.
+	// replicated store with one apiserver per replica.
 	ControlPlaneReplicas int
 	// StoreOptions tunes the data store.
 	StoreOptions *store.Options
@@ -289,11 +289,6 @@ func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
 		Kubelets:   make(map[string]*kubelet.Kubelet),
 		monitoring: fmt.Sprintf("worker-%d", cfg.Workers-1),
 	}
-	if rep, ok := backend.(*store.Replicated); ok {
-		// The virtual network owns the master links; mirror its cuts into
-		// the replicated store's reachability.
-		c.Net.OnMasterLinkChange(func(isolated int) { c.applyMasterLinks(rep, isolated) })
-	}
 	if cfg.AdmissionHooks > 0 {
 		// Webhook backends live on the non-monitoring worker nodes (round-
 		// robin), so they are reachable through the virtual network and share
@@ -414,8 +409,7 @@ func (c *Cluster) Start() {
 	}
 	c.applyNodeRoles()
 	c.installSystemWorkloads()
-	// Stagger the standby control loops well past raft leader election and
-	// the first lease replication (~300 ms): a standby whose first tick runs
+	// Stagger the standby control loops: a standby whose first tick runs
 	// before the leader's lease create reaches its own store replica would
 	// create a second, divergent lease through it — members join one
 	// kubeadm-join at a time, they don't race the first one.
@@ -588,13 +582,6 @@ func (c *Cluster) CrashNode(name string) {
 	}
 }
 
-// RecoverNode reverses CrashNode.
-func (c *Cluster) RecoverNode(name string) {
-	if k, ok := c.Kubelets[name]; ok {
-		k.SetDown(false)
-	}
-}
-
 // --- control-plane fault axes -------------------------------------------------
 //
 // These implement inject.ControlPlane: the time-triggered HA fault axes act
@@ -619,40 +606,36 @@ func (c *Cluster) RestartAPIServer(i int) {
 	c.Servers[i].SetDown(false)
 }
 
-// PartitionMasters isolates control-plane replica i from its peers at the
-// network level: its store replica loses quorum (writes through apiserver i
-// fail, clients fail over), while its apiserver keeps serving progressively
-// staler reads — the stale-read window the campaign measures.
+// PartitionMasters isolates control-plane replica i from its peers: its store
+// replica loses quorum (writes through apiserver i fail, clients fail over),
+// while its apiserver keeps serving progressively staler reads — the
+// stale-read window the campaign measures. A no-op on a single-store cluster.
 func (c *Cluster) PartitionMasters(i int) {
-	c.Net.PartitionMasters(i)
+	rep, ok := c.Backend.(*store.Replicated)
+	if !ok {
+		return
+	}
+	rest := make([]int, 0, rep.Replicas()-1)
+	for j := 0; j < rep.Replicas(); j++ {
+		if j != i {
+			rest = append(rest, j)
+		}
+	}
+	rep.Partition([]int{i}, rest)
 }
 
 // HealMasters reconnects the control-plane replicas; the replicated store
 // flushes writes queued on the majority side and the isolated replica
-// catches up.
+// catches up. A no-op on a single-store cluster.
 func (c *Cluster) HealMasters() {
-	c.Net.HealMasters()
-}
-
-// applyMasterLinks mirrors the network's master-link state into the
-// replicated store's reachability.
-func (c *Cluster) applyMasterLinks(rep *store.Replicated, isolated int) {
-	if isolated < 0 {
+	if rep, ok := c.Backend.(*store.Replicated); ok {
 		rep.Heal()
-		return
 	}
-	rest := make([]int, 0, rep.Replicas()-1)
-	for i := 0; i < rep.Replicas(); i++ {
-		if i != isolated {
-			rest = append(rest, i)
-		}
-	}
-	rep.Partition([]int{isolated}, rest)
 }
 
 // DropStoreReplica destroys the backing store replica of apiserver i — disk
-// loss under one etcd member. The member leaves the raft group; reads and
-// writes through apiserver i fail until the replica is restored.
+// loss under one etcd member. The member stops counting toward quorum; reads
+// and writes through apiserver i fail until the replica is restored.
 func (c *Cluster) DropStoreReplica(i int) {
 	if rep, ok := c.Backend.(*store.Replicated); ok {
 		rep.DropReplica(i)
@@ -674,8 +657,7 @@ func (c *Cluster) RestoreStoreReplica(i int) {
 // (edge-link flap, zone partition, mass node-kill) act through them. The
 // virtual network owns the link state; the cluster mirrors a severed zone
 // uplink into the zone's kubelets (their heartbeats cross the same link the
-// data plane lost), exactly as applyMasterLinks mirrors master cuts into the
-// replicated store.
+// data plane lost).
 
 // Zones returns the number of topology zones (1 for flat clusters).
 func (c *Cluster) Zones() int {

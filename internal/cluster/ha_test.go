@@ -198,3 +198,37 @@ func TestHACrashScenarioDeterministic(t *testing.T) {
 			rev1, rev2, pods1, pods2, errs1, errs2)
 	}
 }
+
+// On a single-store cluster the master-partition axis has nothing to cut:
+// PartitionMasters and HealMasters leave the run exactly as it would have
+// been without them.
+func TestMasterPartitionNoOpOnSingleReplica(t *testing.T) {
+	run := func(partition bool) (rev, events int64) {
+		c := New(Config{Seed: 5003})
+		c.Start()
+		if !c.AwaitSettled(30 * time.Second) {
+			t.Fatal("cluster did not settle")
+		}
+		if partition {
+			c.PartitionMasters(0)
+		}
+		if err := c.Client("kbench").Create(appDeployment("flat", 2)); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		c.Loop.RunUntil(c.Loop.Now() + 5*time.Second)
+		if partition {
+			c.HealMasters()
+		}
+		c.Loop.RunUntil(c.Loop.Now() + 5*time.Second)
+		if !c.ControlPlaneResponsive() {
+			t.Fatal("control plane unresponsive")
+		}
+		defer c.Stop()
+		return c.Backend.Revision(), c.Loop.EventsExecuted()
+	}
+	rev0, ev0 := run(false)
+	rev1, ev1 := run(true)
+	if rev0 != rev1 || ev0 != ev1 {
+		t.Fatalf("partition/heal changed a single-replica run: revision %d→%d, events %d→%d", rev0, rev1, ev0, ev1)
+	}
+}

@@ -106,8 +106,8 @@ func TestForkDeterminism(t *testing.T) {
 }
 
 // A replicated-backend snapshot captures every replica; the fork keeps
-// serving from the restored primary and re-converges replication for new
-// writes once its fresh raft group elects a leader.
+// serving from the restored primary and keeps every replica converged for
+// new writes.
 func TestForkReplicatedBackend(t *testing.T) {
 	c := New(Config{Seed: 4004, ControlPlaneReplicas: 3})
 	c.Start()

@@ -87,13 +87,6 @@ type State struct {
 	zoneDown map[string]bool
 	nodeDown map[string]bool
 
-	// masterIsolated is the control-plane replica currently cut off from its
-	// peers by a master partition, or -1 when the links are intact. The
-	// network owns the link state; the cluster mirrors it into the replicated
-	// store via the change callback.
-	masterIsolated int
-	onMasterLink   func(isolated int)
-
 	cancels []func()
 }
 
@@ -114,7 +107,6 @@ func New(loop *sim.Loop, srv apiserver.ClientSource) *State {
 		reqTimes:         make(map[string][]time.Duration),
 		zoneDown:         make(map[string]bool),
 		nodeDown:         make(map[string]bool),
-		masterIsolated:   -1,
 	}
 	s.cancels = append(s.cancels,
 		s.client.Watch(spec.KindService, s.onService),
@@ -132,46 +124,6 @@ func (s *State) Close() {
 		cancel()
 	}
 }
-
-// --- control-plane (master) link state ---------------------------------------
-//
-// The virtual network also owns the links between control-plane replicas: a
-// master partition is a network event, so the fault axis cuts links here and
-// the cluster mirrors the state into the replicated store's reachability.
-
-// OnMasterLinkChange registers the callback fired whenever the master link
-// state changes; isolated is the cut-off replica index, or -1 on heal.
-func (s *State) OnMasterLinkChange(fn func(isolated int)) { s.onMasterLink = fn }
-
-// PartitionMasters cuts control-plane replica isolated off from its peers.
-func (s *State) PartitionMasters(isolated int) {
-	if s.masterIsolated == isolated {
-		return
-	}
-	s.masterIsolated = isolated
-	if s.onMasterLink != nil {
-		s.onMasterLink(isolated)
-	}
-}
-
-// HealMasters restores all master links.
-func (s *State) HealMasters() {
-	if s.masterIsolated < 0 {
-		return
-	}
-	s.masterIsolated = -1
-	if s.onMasterLink != nil {
-		s.onMasterLink(-1)
-	}
-}
-
-// MasterLinkUp reports whether control-plane replicas a and b can talk.
-func (s *State) MasterLinkUp(a, b int) bool {
-	return a == b || s.masterIsolated < 0 || (a != s.masterIsolated && b != s.masterIsolated)
-}
-
-// MasterIsolated returns the currently isolated replica, or -1.
-func (s *State) MasterIsolated() int { return s.masterIsolated }
 
 // Prime rebuilds the data-plane view from the control plane's current state,
 // for forked clusters: the watches registered by New only observe changes,

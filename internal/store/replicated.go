@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 
-	"github.com/mutiny-sim/mutiny/internal/raft"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -27,10 +26,11 @@ var (
 // stand-in for etcd's linearizable write (which commits through consensus
 // before acknowledging, so no two gateways can disagree on write order) —
 // while replicas unreachable at write time (partition minority) queue the op
-// and catch up in commit order on heal. A raft group runs alongside as the
-// liveness model: member loss and partitions drive its elections exactly as
-// they would etcd's, and its membership/state-transfer machinery backs
-// DropReplica/RestoreReplica.
+// and catch up in commit order on heal. Replicated is the sole owner of
+// replica liveness and reachability: down marks lost members, cut marks
+// severed links, and quorumFrom decides from those two alone whether an
+// origin may write — etcd's "recovers from loss of one member" semantics
+// without a message-level consensus protocol, which would carry no data here.
 //
 // It exists for the §V-C1 ablation and the HA fault axes: injections on the
 // apiserver→store channel happen *before* consensus, so all replicas agree on
@@ -45,7 +45,6 @@ type Replicated struct {
 	loop     *sim.Loop
 	primary  *Store
 	replicas []*Store
-	cluster  *raft.Cluster
 	// down marks lost replicas (FaultStoreLoss). cut marks severed replica
 	// links (FaultMasterPartition); it is queried per-pair, never iterated,
 	// so determinism is unaffected.
@@ -67,8 +66,8 @@ type repOp struct {
 
 var _ Backend = (*Replicated)(nil)
 
-// NewReplicated creates n store replicas joined by a raft group. n must be
-// at least 1; production control planes use 3.
+// NewReplicated creates n fully connected, live store replicas. n must be at
+// least 1; production control planes use 3.
 func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 	if n < 1 {
 		n = 1
@@ -83,10 +82,6 @@ func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 		r.replicas = append(r.replicas, New(loop, opts))
 	}
 	r.primary = r.replicas[0]
-	// The raft group carries no data (writes apply synchronously above); it
-	// models etcd's consensus liveness — election churn under partition and
-	// member loss — and its snapshot transfer backs replica restore.
-	r.cluster = raft.NewCluster(loop, n, func(nodeID int, e raft.Entry) {})
 	return r
 }
 
@@ -306,23 +301,23 @@ func (r *Replicated) Replicas() int { return len(r.replicas) }
 // ReplicaDown reports whether the i-th replica is lost.
 func (r *Replicated) ReplicaDown(i int) bool { return r.down[i] }
 
-// DropReplica loses the i-th replica: its raft node crashes and every access
-// through it fails until RestoreReplica. The data stays in place (a wiped
-// store is restored by state transfer on recovery, not by log replay), and
-// any catch-up queue is voided — the state transfer supersedes it.
+// DropReplica loses the i-th replica: it stops counting toward quorum and
+// every access through it fails until RestoreReplica. The data stays in place
+// (a wiped store is restored by state transfer on recovery, not by log
+// replay), and any catch-up queue is voided — the state transfer supersedes
+// it.
 func (r *Replicated) DropReplica(i int) {
 	if r.down[i] {
 		return
 	}
 	r.down[i] = true
 	r.missed[i] = nil
-	r.cluster.StopNode(i)
 }
 
 // RestoreReplica revives a lost replica by state transfer from the
 // lowest-indexed live replica (an etcd snapshot install): store contents are
-// copied and the raft node fast-forwards past the transferred state, so
-// catch-up never double-applies.
+// copied wholesale and the catch-up queue stays empty, so nothing is ever
+// applied twice.
 func (r *Replicated) RestoreReplica(i int) {
 	if !r.down[i] {
 		return
@@ -336,16 +331,14 @@ func (r *Replicated) RestoreReplica(i int) {
 	}
 	if donor >= 0 {
 		r.replicas[i].restore(r.replicas[donor].snapshot())
-		r.cluster.InstallSnapshot(i, donor)
 	}
 	r.down[i] = false
 	r.missed[i] = nil
-	r.cluster.RestartNode(i)
 }
 
-// Partition severs the links between the two replica groups until Heal. The
-// raft transport is cut symmetrically, so a minority-side origin loses write
-// quorum while its local reads keep serving (stale) truth.
+// Partition severs the links between the two replica groups, in both
+// directions, until Heal: a minority-side origin loses write quorum while its
+// local reads keep serving (stale) truth.
 func (r *Replicated) Partition(groupA, groupB []int) {
 	for _, a := range groupA {
 		for _, b := range groupB {
@@ -353,14 +346,12 @@ func (r *Replicated) Partition(groupA, groupB []int) {
 			r.cut[[2]int{b, a}] = true
 		}
 	}
-	r.cluster.Partition(groupA, groupB)
 }
 
 // Heal removes all replica-link cuts; replicas that missed writes while cut
 // off apply them now, in the order the majority committed them.
 func (r *Replicated) Heal() {
 	r.cut = make(map[[2]int]bool)
-	r.cluster.Heal()
 	for i, ops := range r.missed {
 		if len(ops) == 0 {
 			continue

@@ -35,8 +35,8 @@ type StoreSnapshot struct {
 }
 
 // Snapshot captures a whole Backend: one StoreSnapshot for a single-replica
-// Store, one per replica for a Replicated backend (replicas can diverge
-// transiently while the raft log drains, so each is captured independently).
+// Store, one per replica for a Replicated backend (a cut-off replica lags
+// until its catch-up queue drains on heal, so each is captured independently).
 type Snapshot struct {
 	Replicas []StoreSnapshot
 }

@@ -359,7 +359,7 @@ func TestReplicatedOnRewriteObservesPrimaryOnly(t *testing.T) {
 	if _, err := r.Put("/registry/Pod/default/a", spec.KindPod, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	loop.RunUntil(loop.Now() + 5*time.Second) // let raft replicate
+	loop.RunUntil(loop.Now() + 5*time.Second) // replication is synchronous; time passing changes nothing
 	r.Replica(2).CorruptAtRest("/registry/Pod/default/a", func(b []byte) []byte { b[0] ^= 1; return b })
 	if len(rewritten) != 0 {
 		t.Fatalf("follower corruption notified the primary's hook: %v", rewritten)
