@@ -69,7 +69,8 @@ docs-lint:
 	[ $$fail -eq 0 ] && echo "docs-lint OK"
 
 # Perf gate: the hot-path benchmarks (experiment throughput replay vs share,
-# bootstrap-share ratio, parallel campaign workers-vs-sequential speedup)
+# bootstrap-share ratio, parallel campaign workers-vs-sequential speedup,
+# the 10- and 500-node scale tier, one spawn-storm experiment)
 # parsed into a JSON artifact via tools/benchjson. `make bench PR=N` writes
 # the committed per-PR artifact BENCH_PRN.json and compares it against the
 # newest BENCH_PR* artifact from an earlier PR; plain `make bench` (what CI
@@ -89,7 +90,8 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkExperimentThroughput|BenchmarkBootstrapShare' -benchmem -benchtime 30x . > $$out/hot.txt; \
 	MUTINY_STRIDE=96 MUTINY_GOLDEN=5 $(GO) test -run xxx -bench 'BenchmarkCampaignParallel' -benchtime 3x . > $$out/campaign.txt; \
 	$(GO) test -run xxx -bench 'BenchmarkScale10$$|BenchmarkScale500$$' -benchmem -benchtime 50x . > $$out/scale.txt; \
-	cat $$out/hot.txt $$out/campaign.txt $$out/scale.txt | $(GO) run ./tools/benchjson -out $(BENCH_JSON) $${prev:+-prev $$prev}; \
+	$(GO) test -run xxx -bench 'BenchmarkSpawnStorm' -benchmem -benchtime 10x . > $$out/storm.txt; \
+	cat $$out/hot.txt $$out/campaign.txt $$out/scale.txt $$out/storm.txt | $(GO) run ./tools/benchjson -out $(BENCH_JSON) $${prev:+-prev $$prev}; \
 	rm -rf $$out
 	@echo "wrote $(BENCH_JSON)"
 

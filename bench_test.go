@@ -363,6 +363,34 @@ func BenchmarkExperimentThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawnStorm times one spawn-storm experiment per iteration in the
+// share regime: the uncontrolled-replication spec of
+// examples/uncontrolled-replication (the ReplicaSet template's app label set
+// to "mislabeled" on the apiserver→store channel at the controller's
+// scale-up update), after which the controller spawns pods it can never
+// match until node capacity and the store quota run out. The benign spec of
+// BenchmarkExperimentThroughput never reaches this controller, scheduler
+// and endpoints storm path, which sets a field campaign's wall-clock time.
+// pods/op is the storms' mean size: deterministic, so it must stay put when
+// only the cost of a storm changes.
+func BenchmarkSpawnStorm(b *testing.B) {
+	in := inject.Injection{
+		Channel: inject.ChannelStore, Kind: spec.KindReplicaSet,
+		FieldPath: "spec.template.labels[app]", Type: inject.SetValue,
+		Value: "mislabeled", Occurrence: 2,
+	}
+	runner := campaign.NewRunner()
+	runner.GoldenRuns = 10
+	runner.ShareBootstrap = true
+	runner.Baseline(workload.Deploy) // prebuild baseline and snapshot outside the timer
+	b.ResetTimer()
+	pods := 0
+	for i := 0; i < b.N; i++ {
+		pods += runner.Run(campaign.Spec{Workload: workload.Deploy, Seed: int64(777 + i), Injection: &in}).PodsCreated
+	}
+	b.ReportMetric(float64(pods)/float64(b.N), "pods/op")
+}
+
 // BenchmarkBootstrapShare records the fork-vs-replay per-experiment ratio:
 // how much of an experiment's cost the shared-bootstrap snapshot removes.
 // Each iteration runs the same injection spec once per regime; the ratio is

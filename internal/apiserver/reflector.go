@@ -38,6 +38,9 @@ type Reflector struct {
 	// handlers always read post-event state.
 	onEvent func(WatchEvent)
 
+	// index is the optional secondary index over one kind (SetIndex).
+	index *viewIndex
+
 	resyncEvery time.Duration
 	resyncTimer sim.Timer
 	cancels     []func()
@@ -49,19 +52,23 @@ type Reflector struct {
 	resyncRepairs int64
 }
 
-// viewBucket holds one kind's objects in namespace/name order. keys and objs
-// move in lockstep, mirroring the server's per-kind list index so view
-// iteration order matches server list order.
+// viewBucket holds one kind's objects (or one secondary-index bucket) in
+// namespace/name order. keys and objs move in lockstep, mirroring the
+// server's per-kind list index so view iteration order matches server list
+// order.
 type viewBucket struct {
 	keys []string
 	objs []spec.Object
 }
 
-func (b *viewBucket) set(key string, obj spec.Object) {
+// set stores obj under key and returns the object it replaced (nil if the
+// key was absent).
+func (b *viewBucket) set(key string, obj spec.Object) spec.Object {
 	i := sort.SearchStrings(b.keys, key)
 	if i < len(b.keys) && b.keys[i] == key {
+		old := b.objs[i]
 		b.objs[i] = obj
-		return
+		return old
 	}
 	b.keys = append(b.keys, "")
 	copy(b.keys[i+1:], b.keys[i:])
@@ -69,17 +76,32 @@ func (b *viewBucket) set(key string, obj spec.Object) {
 	b.objs = append(b.objs, nil)
 	copy(b.objs[i+1:], b.objs[i:])
 	b.objs[i] = obj
+	return nil
 }
 
-func (b *viewBucket) delete(key string) {
+// delete removes key and returns the object it held (nil if absent).
+func (b *viewBucket) delete(key string) spec.Object {
 	i := sort.SearchStrings(b.keys, key)
 	if i >= len(b.keys) || b.keys[i] != key {
-		return
+		return nil
 	}
+	old := b.objs[i]
 	b.keys = append(b.keys[:i], b.keys[i+1:]...)
 	copy(b.objs[i:], b.objs[i+1:])
 	b.objs[len(b.objs)-1] = nil
 	b.objs = b.objs[:len(b.objs)-1]
+	return old
+}
+
+// replace swaps the object stored under key, reporting false (and changing
+// nothing) when key is absent.
+func (b *viewBucket) replace(key string, obj spec.Object) bool {
+	i := sort.SearchStrings(b.keys, key)
+	if i < len(b.keys) && b.keys[i] == key {
+		b.objs[i] = obj
+		return true
+	}
+	return false
 }
 
 func (b *viewBucket) get(key string) (spec.Object, bool) {
@@ -104,6 +126,52 @@ func (b *viewBucket) nsRange(ns string) (int, int) {
 	return i, j
 }
 
+// viewIndex is a Reflector's secondary index over one kind: every object of
+// that kind for which fn returns a non-empty value sits in that value's
+// bucket, in key order. Invariant: each bucket equals the kind's view
+// filtered by fn(obj) == value, element for element and in the same order —
+// put maintains it on every view change, so consumers never sort a bucket
+// and never rebuild one.
+type viewIndex struct {
+	kind    spec.Kind
+	fn      func(spec.Object) string
+	buckets map[string]*viewBucket
+}
+
+// update moves key from old's bucket to obj's (either may be nil: an add or
+// a delete). The old bucket is derived from the view's previous object, so
+// the index carries no key-to-bucket map of its own — and it is derived only
+// when the key is not already in obj's bucket, so the common event (a status
+// change that keeps the bucket) costs one fn call and one lookup.
+func (x *viewIndex) update(key string, old, obj spec.Object) {
+	to := ""
+	if obj != nil {
+		to = x.fn(obj)
+		if b := x.buckets[to]; b != nil && b.replace(key, obj) {
+			return
+		}
+	}
+	if old != nil {
+		if from := x.fn(old); from != "" { // != to, or replace would have found key
+			if b := x.buckets[from]; b != nil {
+				b.delete(key)
+				if len(b.keys) == 0 {
+					delete(x.buckets, from)
+				}
+			}
+		}
+	}
+	if to == "" {
+		return
+	}
+	b := x.buckets[to]
+	if b == nil {
+		b = &viewBucket{}
+		x.buckets[to] = b
+	}
+	b.set(key, obj)
+}
+
 // NewReflector builds a reflector over the given kinds (none = every kind).
 // resyncEvery is the safety-net re-list period; zero disables periodic
 // resyncs (Resync can still be called explicitly). onEvent may be nil.
@@ -117,6 +185,14 @@ func NewReflector(loop *sim.Loop, client *Client, resyncEvery time.Duration, onE
 		onEvent:     onEvent,
 		resyncEvery: resyncEvery,
 	}
+}
+
+// SetIndex installs the reflector's one secondary index: objects of kind are
+// bucketed by fn (an empty value leaves the object unindexed), and
+// ForEachIndexed walks one bucket in key order. fn must be a pure function
+// of the object. Call it before Start.
+func (r *Reflector) SetIndex(kind spec.Kind, fn func(spec.Object) string) {
+	r.index = &viewIndex{kind: kind, fn: fn, buckets: make(map[string]*viewBucket)}
 }
 
 // Start primes the view with one list per kind and subscribes to the watch
@@ -133,6 +209,9 @@ func (r *Reflector) Start() {
 	// phantoms (prime only adds). Rebuild from scratch, like the re-list of
 	// a restarted component.
 	clear(r.views)
+	if r.index != nil {
+		clear(r.index.buckets)
+	}
 	if len(r.kinds) == 0 {
 		// All-kinds mode: one wildcard watch, primed and resynced over the
 		// full kind vocabulary so kinds that never produce an event are
@@ -168,10 +247,24 @@ func (r *Reflector) Stop() {
 // (consumers that want the initial state iterate the view after Start).
 func (r *Reflector) prime() {
 	for _, kind := range r.kinds {
-		b := r.bucket(kind)
 		for _, obj := range r.client.List(kind, "") {
-			b.set(obj.Meta().NamespacedName(), obj)
+			r.put(kind, obj.Meta().NamespacedName(), obj)
 		}
+	}
+}
+
+// put stores (or, with obj nil, removes) one view entry and keeps the
+// secondary index in step with it.
+func (r *Reflector) put(kind spec.Kind, key string, obj spec.Object) {
+	b := r.bucket(kind)
+	var old spec.Object
+	if obj == nil {
+		old = b.delete(key)
+	} else {
+		old = b.set(key, obj)
+	}
+	if x := r.index; x != nil && x.kind == kind {
+		x.update(key, old, obj)
 	}
 }
 
@@ -187,13 +280,11 @@ func (r *Reflector) bucket(kind spec.Kind) *viewBucket {
 // apply is the watch callback: it folds one event into the view and forwards
 // it to the consumer.
 func (r *Reflector) apply(ev WatchEvent) {
-	b := r.bucket(ev.Kind)
-	key := ev.Object.Meta().NamespacedName()
+	obj := ev.Object
 	if ev.Type == Deleted {
-		b.delete(key)
-	} else {
-		b.set(key, ev.Object)
+		obj = nil
 	}
+	r.put(ev.Kind, ev.Object.Meta().NamespacedName(), obj)
 	if r.onEvent != nil {
 		r.onEvent(ev)
 	}
@@ -232,6 +323,25 @@ func (r *Reflector) ForEach(kind spec.Kind, ns string, fn func(spec.Object) bool
 	i, j := b.nsRange(ns)
 	for ; i < j; i++ {
 		if !fn(b.objs[i]) {
+			return
+		}
+	}
+}
+
+// ForEachIndexed calls fn for every object in the secondary index's bucket
+// for value, in namespace/name order, stopping early when fn returns false.
+// It walks nothing when no index is set or the bucket is empty. The same
+// no-mutation rule as ForEach applies.
+func (r *Reflector) ForEachIndexed(value string, fn func(spec.Object) bool) {
+	if r.index == nil {
+		return
+	}
+	b := r.index.buckets[value]
+	if b == nil {
+		return
+	}
+	for _, obj := range b.objs {
+		if !fn(obj) {
 			return
 		}
 	}

@@ -1,6 +1,8 @@
 package apiserver
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -226,5 +228,181 @@ func TestReflectorStopDetaches(t *testing.T) {
 	run(time.Second)
 	if r.Len(spec.KindPod) != 1 {
 		t.Fatalf("stopped view tracked new events: Len = %d", r.Len(spec.KindPod))
+	}
+}
+
+// appIndex buckets pods by "namespace/app-label"; unlabelled pods stay out.
+func appIndex(o spec.Object) string {
+	meta := o.Meta()
+	app, ok := meta.Labels["app"]
+	if !ok {
+		return ""
+	}
+	return meta.Namespace + "/" + app
+}
+
+// The secondary index is exact through every way the view changes: a
+// randomized run of creates, relabels that move pods between buckets,
+// deletes, a dropped watch event repaired by Resync, and a Stop/Start
+// re-prime. After every step each bucket must equal the view filtered by
+// the index function, element for element and in view order, and no
+// unindexed pod may sit in any bucket.
+func TestReflectorIndexMatchesFilteredView(t *testing.T) {
+	loop, _, srv := newTestServer(t)
+	c := srv.ClientFor("reflector-test")
+	dropNext := false
+	srv.SetWatchHook(func(m *Message) Action {
+		if dropNext && m.Kind == spec.KindPod {
+			dropNext = false
+			return Drop
+		}
+		return Pass
+	})
+	r := NewReflector(loop, c, 0, nil, spec.KindPod)
+	r.SetIndex(spec.KindPod, appIndex)
+	r.Start()
+	run := func() { loop.RunUntil(loop.Now() + 100*time.Millisecond) }
+
+	check := func(step string) {
+		t.Helper()
+		values := map[string]bool{}
+		r.ForEach(spec.KindPod, "", func(o spec.Object) bool {
+			if v := appIndex(o); v != "" {
+				values[v] = true
+			}
+			return true
+		})
+		for v := range r.index.buckets {
+			values[v] = true // a bucket no view object maps to must be empty
+		}
+		for v := range values {
+			var want, got []spec.Object
+			r.ForEach(spec.KindPod, "", func(o spec.Object) bool {
+				if appIndex(o) == v {
+					want = append(want, o)
+				}
+				return true
+			})
+			r.ForEachIndexed(v, func(o spec.Object) bool {
+				got = append(got, o)
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%s: bucket %q holds %d objects, view filter %d", step, v, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: bucket %q[%d] = %s, view filter has %s", step, v, i,
+						got[i].Meta().NamespacedName(), want[i].Meta().NamespacedName())
+				}
+			}
+		}
+		r.ForEach(spec.KindPod, "", func(o spec.Object) bool {
+			if appIndex(o) != "" {
+				return true
+			}
+			key := o.Meta().NamespacedName()
+			for v, b := range r.index.buckets {
+				if _, ok := b.get(key); ok {
+					t.Fatalf("%s: unindexed pod %s sits in bucket %q", step, key, v)
+				}
+			}
+			return true
+		})
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	namespaces := []string{spec.DefaultNamespace, "team-b"}
+	apps := []string{"web", "db", "cache", ""} // "" = no app label
+	labels := func() map[string]string {
+		app := apps[rng.Intn(len(apps))]
+		if app == "" {
+			return map[string]string{"tier": "misc"}
+		}
+		return map[string]string{"app": app}
+	}
+	// Names are drawn in random order so creates insert mid-bucket, not
+	// only at the end.
+	names := rng.Perm(200)
+	next := 0
+	create := func() {
+		p := testPod(fmt.Sprintf("pod-%03d", names[next]))
+		next++
+		p.Metadata.Namespace = namespaces[rng.Intn(len(namespaces))]
+		p.Metadata.Labels = labels()
+		if err := c.Create(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pick := func() *spec.Pod {
+		pods := c.List(spec.KindPod, "")
+		if len(pods) == 0 {
+			return nil
+		}
+		return pods[rng.Intn(len(pods))].(*spec.Pod)
+	}
+	relabel := func() {
+		if p := pick(); p != nil {
+			upd := spec.CloneForWriteAs(p)
+			upd.Metadata.Labels = labels()
+			if err := c.Update(upd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func() {
+		if p := pick(); p != nil {
+			if err := c.Delete(spec.KindPod, p.Metadata.Namespace, p.Metadata.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step := func(i int) {
+		switch n := rng.Intn(10); {
+		case n < 4:
+			create()
+		case n < 8:
+			relabel()
+		default:
+			remove()
+		}
+		run()
+		check(fmt.Sprintf("step %d", i))
+	}
+
+	for i := 0; i < 60; i++ {
+		step(i)
+	}
+	// A dropped event leaves the view (and so the index) stale but still
+	// consistent with each other; Resync repairs both.
+	for i := 0; i < 5; i++ {
+		dropNext = true
+		relabel()
+		run()
+		check(fmt.Sprintf("dropped event %d", i))
+		r.Resync()
+		check(fmt.Sprintf("resync %d", i))
+	}
+	if r.ResyncRepairs() == 0 {
+		t.Fatal("no dropped event needed a repair")
+	}
+	for i := 60; i < 100; i++ {
+		step(i)
+	}
+	// Stopped, the view detaches while the server moves on; Start re-primes
+	// view and index from scratch.
+	r.Stop()
+	for i := 0; i < 20; i++ {
+		[]func(){create, relabel, remove}[rng.Intn(3)]()
+		run()
+	}
+	check("stopped")
+	r.Start()
+	check("restarted")
+	if got, want := r.Len(spec.KindPod), len(c.List(spec.KindPod, "")); got != want {
+		t.Fatalf("re-primed view holds %d pods, server %d", got, want)
+	}
+	for i := 100; i < 140; i++ {
+		step(i)
 	}
 }

@@ -154,6 +154,7 @@ func (m *Manager) startControllers() {
 	// explicitly so view repair and the level-triggered re-enqueue happen on
 	// one schedule.
 	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
+	m.views.SetIndex(spec.KindPod, podAppIndex)
 	m.views.Start()
 	m.cancels = append(m.cancels, m.views.Stop)
 	resync := m.loop.Every(resyncInterval, m.resyncAll)

@@ -12,7 +12,9 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -53,8 +55,19 @@ type Scheduler struct {
 	elector *election.Elector
 
 	running bool
-	pending map[string]bool   // pod keys awaiting scheduling
-	assumed map[string]string // pod UID → node the scheduler bound it to
+	// pending is the set of pods awaiting scheduling, sorted by pod key.
+	// Each entry carries the view's current object for its key: onViewEvent
+	// refreshes it on every pod event, so a scheduling pass walks the set in
+	// order with no per-tick sort and no view lookups.
+	pending []pendingEntry
+	// inPass marks a running scheduling pass. A bind can re-enter
+	// onViewEvent mid-pass (a failover replays the new endpoint's state into
+	// the view inside the write), so during a pass no entry moves: a drop
+	// leaves a nil-pod tombstone, and events for keys absent from the set
+	// are logged to deferred and applied when the pass ends.
+	inPass   bool
+	deferred []pendingEntry
+	assumed  map[string]string // pod UID → node the scheduler bound it to
 	// podAlloc/nodeUsed form the incremental allocation index: the per-node
 	// resource charge of every assigned active pod, maintained from the same
 	// view events that drive the pending set. Each scheduling pass reads node
@@ -87,7 +100,6 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Scheduler {
 		srv:         srv,
 		client:      srv.ClientFor("scheduler"),
 		opts:        opts,
-		pending:     make(map[string]bool),
 		assumed:     make(map[string]string),
 		lastPreempt: make(map[string]time.Duration),
 	}
@@ -135,7 +147,7 @@ func (s *Scheduler) run() {
 		return
 	}
 	s.running = true
-	s.pending = make(map[string]bool)
+	s.pending = nil
 	s.assumed = make(map[string]string)
 	s.podAlloc = make(map[string]allocEntry)
 	s.nodeUsed = make(map[string]*allocUsage)
@@ -149,7 +161,7 @@ func (s *Scheduler) run() {
 	s.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
 		if pod.Spec.NodeName == "" && pod.Active() {
-			s.pending[podKey(pod)] = true
+			s.pending = append(s.pending, pendingEntry{key: podKey(pod), pod: pod}) // view order is key order
 		} else if pod.Spec.NodeName != "" {
 			s.assumed[pod.Metadata.UID] = pod.Spec.NodeName
 		}
@@ -181,17 +193,15 @@ func (s *Scheduler) onViewEvent(ev apiserver.WatchEvent) {
 	key := podKey(pod)
 	switch ev.Type {
 	case apiserver.Deleted:
-		delete(s.pending, key)
+		s.dropPending(key)
 		delete(s.assumed, pod.Metadata.UID)
 		return
 	case apiserver.Added, apiserver.Modified:
 		if pod.Spec.NodeName == "" {
-			if pod.Active() {
-				s.pending[key] = true
-			}
+			s.setPending(key, pod)
 			return
 		}
-		delete(s.pending, key)
+		s.dropPending(key)
 		if prev, ok := s.assumed[pod.Metadata.UID]; ok && prev != pod.Spec.NodeName {
 			// The store says this pod runs somewhere the scheduler never
 			// put it. Assume local cache corruption and restart (§V-C).
@@ -227,30 +237,73 @@ func (s *Scheduler) restart() {
 	})
 }
 
+// pendingEntry is one pod awaiting scheduling: its key and the view's
+// current object for it (nil: dropped during the running pass).
+type pendingEntry struct {
+	key string
+	pod *spec.Pod
+}
+
+// pendingAt returns key's position in the sorted pending set and whether it
+// is present (if not, the position is where it would be inserted).
+func (s *Scheduler) pendingAt(key string) (int, bool) {
+	return slices.BinarySearchFunc(s.pending, key, func(e pendingEntry, k string) int {
+		return strings.Compare(e.key, k)
+	})
+}
+
+// setPending folds an unscheduled pod's event into the pending set. A
+// pending key takes the new object even when the pod went inactive (the
+// next pass reads it and drops it); an absent key joins iff the pod is
+// active.
+func (s *Scheduler) setPending(key string, pod *spec.Pod) {
+	i, ok := s.pendingAt(key)
+	switch {
+	case ok:
+		if s.pending[i].pod != nil || pod.Active() {
+			s.pending[i].pod = pod
+		}
+	case s.inPass:
+		s.deferred = append(s.deferred, pendingEntry{key: key, pod: pod})
+	case pod.Active():
+		s.pending = slices.Insert(s.pending, i, pendingEntry{key: key, pod: pod})
+	}
+}
+
+// dropPending removes key from the pending set.
+func (s *Scheduler) dropPending(key string) {
+	i, ok := s.pendingAt(key)
+	switch {
+	case ok && s.inPass:
+		s.pending[i].pod = nil
+	case ok:
+		s.pending = slices.Delete(s.pending, i, i+1)
+	case s.inPass:
+		s.deferred = append(s.deferred, pendingEntry{key: key}) // may follow a deferred join
+	}
+}
+
+// scheduleAll runs one scheduling pass over the pending set in key order.
+// Each entry already carries its pod's current object, so the pass neither
+// sorts nor looks anything up; the entries it binds or finds inactive are
+// dropped, and the set is compacted once at the end.
 func (s *Scheduler) scheduleAll() {
 	if !s.running || len(s.pending) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(s.pending))
-	for k := range s.pending {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	nodes, zones := s.snapshotNodes()
 	// One pod snapshot per cycle serves all preemption decisions: listing
 	// per candidate node degrades quadratically once an uncontrolled-
 	// replication injection floods the cluster with pending pods.
 	var podSnapshot []*spec.Pod
-	for _, key := range keys {
-		obj, ok := s.views.GetByKey(spec.KindPod, key)
-		if !ok {
-			delete(s.pending, key)
-			continue
+	s.inPass = true
+	for i := range s.pending {
+		pod := s.pending[i].pod
+		if pod == nil {
+			continue // dropped by an event earlier in this pass
 		}
-		pod := obj.(*spec.Pod)
-		if pod.Spec.NodeName != "" || !pod.Active() {
-			delete(s.pending, key)
+		if !pod.Active() {
+			s.pending[i].pod = nil
 			continue
 		}
 		if pod.Spec.Priority > 0 && podSnapshot == nil {
@@ -268,9 +321,20 @@ func (s *Scheduler) scheduleAll() {
 			cand = zones[zone]
 		}
 		if s.scheduleOne(pod, cand, podSnapshot) {
-			delete(s.pending, key)
+			s.pending[i].pod = nil
 		}
 	}
+	s.inPass = false
+	s.pending = slices.DeleteFunc(s.pending, func(e pendingEntry) bool { return e.pod == nil })
+	for _, e := range s.deferred {
+		if e.pod == nil {
+			s.dropPending(e.key)
+		} else {
+			s.setPending(e.key, e.pod)
+		}
+	}
+	clear(s.deferred)
+	s.deferred = s.deferred[:0]
 }
 
 type nodeInfo struct {

@@ -260,7 +260,7 @@ func compareBaseline(r *Report, path string, threshold float64, annotate bool) {
 				base.Env, r.Env, msg)
 		}
 	}
-	for _, metric := range []string{"experiment_ms_share", "experiment_ms_replay", "scale_500_ms_per_exp"} {
+	for _, metric := range []string{"experiment_ms_share", "experiment_ms_replay", "scale_500_ms_per_exp", "storm_ms_per_exp"} {
 		was, okWas := base.Derived[metric]
 		now, okNow := r.Derived[metric]
 		if !okWas || !okNow || was <= 0 {
@@ -271,7 +271,7 @@ func compareBaseline(r *Report, path string, threshold float64, annotate bool) {
 				metric, (now/was-1)*100, path, was, now))
 		}
 	}
-	for _, metric := range []string{"experiment_allocs_share", "experiment_allocs_replay", "scale_500_allocs_per_exp"} {
+	for _, metric := range []string{"experiment_allocs_share", "experiment_allocs_replay", "scale_500_allocs_per_exp", "storm_allocs_per_exp"} {
 		was, okWas := base.Derived[metric]
 		now, okNow := r.Derived[metric]
 		if !okWas || !okNow || was <= 0 {
@@ -317,6 +317,17 @@ func derive(r *Report) {
 	}
 	if s10, ok := r.Benchmarks["BenchmarkScale10"]; ok && has500 && s10.NsPerOp > 0 {
 		r.Derived["scale_500_vs_10_ratio"] = s500.NsPerOp / s10.NsPerOp
+	}
+	// The storm row: one uncontrolled-replication experiment, the cost that
+	// sets a field campaign's wall-clock time and that no benign experiment
+	// reaches. pods/op is deterministic — it moves only when a storm's
+	// behaviour does, never when only its cost does.
+	if st, ok := r.Benchmarks["BenchmarkSpawnStorm"]; ok {
+		r.Derived["storm_ms_per_exp"] = st.MsPerOp
+		r.Derived["storm_allocs_per_exp"] = st.AllocsPerOp
+		if v, ok := st.Extra["pods/op"]; ok {
+			r.Derived["storm_pods_per_exp"] = v
+		}
 	}
 	if bs, ok := r.Benchmarks["BenchmarkBootstrapShare"]; ok {
 		if v, ok := bs.Extra["replay/fork-×"]; ok {
